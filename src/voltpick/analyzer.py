@@ -24,12 +24,25 @@ Scope rules, spelled out because they are the whole contract:
 Inserting or editing comments never changes counts, and scanning is a pure
 function of (text, profile, weight), so corpus analysis parallelizes and
 always merges deterministically in sorted path order.
+
+Scanning is linear in the text size for a bounded nesting depth: doubling
+such a file doubles its scan time.  Masking is one regular-expression pass.
+One sorted pass over the brace, semicolon and loop-keyword events finds the
+blocks and records each one's parent and loop depth.  Each declaration and
+call then finds its line and column, and whether it lies inside a
+constructor token, by bisecting offsets computed once per file.  Its
+innermost block costs a bisection into the block starts plus a climb out of
+the blocks that close before it, and a call's declaration a climb from its
+block to the nearest one that declares the name; each climb is at most the
+nesting depth, so deeply nested text costs up to depth x calls.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -68,43 +81,41 @@ class UsageReport:
 
 # --- masking ------------------------------------------------------------------
 
+def _mask_pattern(profile: LanguageProfile) -> re.Pattern:
+    """One alternation over comments and strings, in the scanner's priority order.
+
+    At any position a block comment wins over a line comment, and a line
+    comment over a string.  A block comment runs to its close or to the end
+    of the text; a line comment to the end of its line.  A string runs to
+    its closing delimiter, an escape skipping the character after it (a
+    trailing escape or a missing close runs the string to the end).
+    """
+    alternatives = []
+    if profile.block_comment:
+        open_, close = map(re.escape, profile.block_comment)
+        alternatives.append(rf"{open_}(?:.*?{close}|.*\Z)")
+    if profile.line_comment:
+        alternatives.append(re.escape(profile.line_comment) + r"[^\n]*")
+    escape = profile.string_escape
+    for delim in profile.string_delimiters:
+        if len(delim) != 1:
+            continue  # a delimiter is matched one character at a time
+        d = re.escape(delim)
+        if len(escape) == 1 and escape != delim:
+            e = re.escape(escape)
+            alternatives.append(rf"{d}[^{d}{e}]*(?:{e}.[^{d}{e}]*)*(?:{d}|{e}?\Z)")
+        else:
+            alternatives.append(rf"{d}[^{d}]*(?:{d}|\Z)")
+    return re.compile("|".join(alternatives) or r"(?!)", re.DOTALL)
+
+
+def _blank(match: re.Match) -> str:
+    return "\n".join(" " * len(part) for part in match.group().split("\n"))
+
+
 def mask_text(text: str, profile: LanguageProfile) -> str:
     """Blank out comments and string literals, preserving offsets and newlines."""
-    out = list(text)
-    i, n = 0, len(text)
-    line = profile.line_comment
-    block = profile.block_comment
-    escape = profile.string_escape
-
-    def blank(start: int, end: int) -> None:
-        for j in range(start, end):
-            if out[j] != "\n":
-                out[j] = " "
-
-    while i < n:
-        if block and text.startswith(block[0], i):
-            end = text.find(block[1], i + len(block[0]))
-            end = n if end < 0 else end + len(block[1])
-            blank(i, end)
-            i = end
-            continue
-        if line and text.startswith(line, i):
-            end = text.find("\n", i)
-            end = n if end < 0 else end
-            blank(i, end)
-            i = end
-            continue
-        ch = text[i]
-        if ch in profile.string_delimiters:
-            j = i + 1
-            while j < n and text[j] != ch:
-                j += 2 if text[j] == escape else 1
-            end = min(j + 1, n)
-            blank(i, end)
-            i = end
-            continue
-        i += 1
-    return "".join(out)
+    return _mask_pattern(profile).sub(_blank, text)
 
 
 # --- block structure ------------------------------------------------------------
@@ -114,10 +125,16 @@ class _Block:
     start: int
     end: int
     is_loop: bool
+    parent: int  # index of the enclosing block, -1 for the root
+    depth: int  # loop nesting depth inside the block
 
 
 def _block_structure(masked: str, loop_tokens: frozenset[str]) -> list[_Block]:
-    """All brace blocks plus a whole-file root block (index 0)."""
+    """All brace blocks plus a whole-file root block (index 0).
+
+    Blocks come in start order and are properly nested: an unclosed block
+    runs to the end of the text, and a stray ``}`` closes nothing.
+    """
     events: list[tuple[int, str]] = []
     if loop_tokens:
         keyword = re.compile(r"\b(?:" + "|".join(map(re.escape, sorted(loop_tokens))) + r")\b")
@@ -126,14 +143,16 @@ def _block_structure(masked: str, loop_tokens: frozenset[str]) -> list[_Block]:
         events.append((m.start(), m.group()))
     events.sort()
 
-    blocks = [_Block(0, len(masked), False)]
+    blocks = [_Block(0, len(masked), False, -1, 0)]
     stack = [0]
     pending_loop = False
     for pos, kind in events:
         if kind == "loop":
             pending_loop = True
         elif kind == "{":
-            blocks.append(_Block(pos, len(masked), pending_loop))
+            parent = stack[-1]
+            blocks.append(_Block(pos, len(masked), pending_loop, parent,
+                                 blocks[parent].depth + pending_loop))
             stack.append(len(blocks) - 1)
             pending_loop = False
         elif kind == ";":
@@ -143,16 +162,12 @@ def _block_structure(masked: str, loop_tokens: frozenset[str]) -> list[_Block]:
     return blocks
 
 
-def _innermost(blocks: list[_Block], pos: int) -> int:
-    best = 0
-    for idx, blk in enumerate(blocks):
-        if blk.start <= pos < blk.end and blk.start >= blocks[best].start:
-            best = idx
-    return best
-
-
-def _loop_depth(blocks: list[_Block], pos: int) -> int:
-    return sum(1 for blk in blocks if blk.is_loop and blk.start <= pos < blk.end)
+def _innermost(blocks: list[_Block], starts: list[int], pos: int) -> int:
+    """The block with the latest start that contains pos (root for none)."""
+    idx = bisect_right(starts, pos) - 1
+    while pos >= blocks[idx].end:
+        idx = blocks[idx].parent
+    return idx
 
 
 # --- scanning ---------------------------------------------------------------------
@@ -165,10 +180,35 @@ class _Declaration:
     site: UsageSite
 
 
-def _line_col(text: str, pos: int) -> tuple[int, int]:
-    line = text.count("\n", 0, pos) + 1
-    col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-    return line, col
+def _line_col(newlines: list[int], pos: int) -> tuple[int, int]:
+    """1-based line and column of pos, given the offsets of every newline."""
+    line = bisect_left(newlines, pos)
+    return line + 1, pos - (newlines[line - 1] if line else -1)
+
+
+class _Scopes:
+    """Declarations grouped by (block, name), each group in position order."""
+
+    def __init__(self, declarations: list[_Declaration], blocks: list[_Block]):
+        self.blocks = blocks
+        self.groups: dict[tuple[int, str], list[_Declaration]] = {}
+        for decl in declarations:
+            self.groups.setdefault((decl.block, decl.name), []).append(decl)
+        self.positions = {key: [d.pos for d in group] for key, group in self.groups.items()}
+
+    def binding(self, block: int, name: str, pos: int) -> _Declaration | None:
+        """The declaration a call on name at pos (innermost in block) binds to.
+
+        The innermost enclosing block that declares name wins; within it the
+        nearest declaration at or before pos, else its first one.
+        """
+        while (block, name) not in self.groups:
+            if block == 0:
+                return None
+            block = self.blocks[block].parent
+        group = self.groups[(block, name)]
+        k = bisect_right(self.positions[(block, name)], pos)
+        return group[k - 1] if k else group[0]
 
 
 def scan_file(source_text: str, lang_profile: LanguageProfile,
@@ -177,12 +217,14 @@ def scan_file(source_text: str, lang_profile: LanguageProfile,
     """Scan one source text and return its usage sites in position order."""
     masked = mask_text(source_text, lang_profile)
     blocks = _block_structure(masked, lang_profile.loop_open_tokens)
+    starts = [blk.start for blk in blocks]
+    newlines = [m.start() for m in re.finditer("\n", source_text)]
 
     declarations: list[_Declaration] = []
     for pattern, impl_id, api_kind in lang_profile.compiled_declarations():
         for m in pattern.finditer(masked):
             ctor_start, ctor_end = m.span("ctor")
-            line, col = _line_col(source_text, ctor_start)
+            line, col = _line_col(newlines, ctor_start)
             site = UsageSite(
                 site_id=f"{file_label}:{line}:{col}",
                 file=file_label,
@@ -193,36 +235,34 @@ def scan_file(source_text: str, lang_profile: LanguageProfile,
                 ctor_span=(ctor_start, ctor_end),
             )
             declarations.append(
-                _Declaration(m.group("name"), m.start(), _innermost(blocks, m.start()), site)
+                _Declaration(m.group("name"), m.start(),
+                             _innermost(blocks, starts, m.start()), site)
             )
     declarations.sort(key=lambda d: d.pos)
 
-    by_name: dict[str, list[_Declaration]] = {}
-    for decl in declarations:
-        by_name.setdefault(decl.name, []).append(decl)
+    scopes = _Scopes(declarations, blocks)
 
-    decl_spans = [d.site.ctor_span for d in declarations]
+    # a call inside any constructor span is covered by the latest-ending span
+    # among those that start at or before it
+    spans = sorted(d.site.ctor_span for d in declarations)
+    span_starts = [start for start, _ in spans]
+    span_reach = list(accumulate((end for _, end in spans), max))
 
     for m in lang_profile.compiled_calls().finditer(masked):
         pos = m.start()
         # a constructor call is not a method call on its own token
-        if any(start <= pos < end for start, end in decl_spans):
+        k = bisect_right(span_starts, pos)
+        if k and span_reach[k - 1] > pos:
             continue
-        candidates = [
-            d for d in by_name.get(m.group("recv"), ())
-            if blocks[d.block].start <= pos < blocks[d.block].end
-        ]
-        if not candidates:
+        block = _innermost(blocks, starts, pos)
+        decl = scopes.binding(block, m.group("recv"), pos)
+        if decl is None:
             continue
-        innermost_start = max(blocks[d.block].start for d in candidates)
-        scoped = [d for d in candidates if blocks[d.block].start == innermost_start]
-        before = [d for d in scoped if d.pos <= pos]
-        decl = before[-1] if before else scoped[0]
 
         op_id = lang_profile.method_map.get(decl.site.api_kind, {}).get(m.group("method"))
         if op_id is None:
             continue
-        depth = _loop_depth(blocks, pos)
+        depth = blocks[block].depth
         site = decl.site
         site.raw_counts[op_id] = site.raw_counts.get(op_id, 0) + 1
         site.op_counts[op_id] = site.op_counts.get(op_id, 0.0) + loop_weight**depth

@@ -97,14 +97,13 @@ class Workload:
         reps = op_repetitions
         if op.workload_role == ROLE_MUTATE:
             # shrinking ops cannot outrun the structure
-            reps = min(reps, element_count) if element_count else 0
+            reps = min(reps, element_count)
         values = [rng.randrange(-span, span) for _ in range(reps)]
-        indices = [rng.randrange(element_count) if element_count else 0
-                   for _ in range(reps)]
+        indices = [rng.randrange(element_count) for _ in range(reps)]
         # half the probes hit existing elements, half likely miss
         probes = []
         for i in range(reps):
-            if contents and i % 2 == 0:
+            if i % 2 == 0:
                 probes.append(contents[rng.randrange(element_count)])
             else:
                 probes.append(rng.randrange(-span, span))

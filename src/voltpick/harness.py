@@ -27,6 +27,7 @@ from .errors import (
     BackendUnavailable,
     EmptyGroup,
     HarnessBusy,
+    InvalidConfig,
     MeterFailure,
     NotMeasured,
     ReadFailure,
@@ -52,8 +53,11 @@ class Scenario:
     op_repetitions: int
 
     def __post_init__(self):
-        if self.element_count < 0:
-            raise ValueError("element_count must be >= 0")
+        if self.element_count < 1:
+            raise InvalidConfig(
+                f"scenario {self.scenario_id!r} has {self.element_count} elements; "
+                "profiling needs at least 1"
+            )
         if self.op_repetitions < 1:
             raise ValueError("op_repetitions must be >= 1")
 

@@ -2,7 +2,8 @@
 
 One encoder (sorted keys, two-space indent, trailing newline, integral
 floats written as ints) so that identical in-memory objects always
-serialize to identical bytes.
+serialize to identical bytes.  Both directions are strict JSON: NaN and the
+infinities are neither written nor read.
 """
 
 from __future__ import annotations
@@ -19,12 +20,20 @@ def canonical_number(value):
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """Canonical text; raises ValueError on NaN or an infinity."""
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False,
+                      allow_nan=False) + "\n"
 
 
 def write(path, obj) -> None:
     Path(path).write_text(dumps(obj), encoding="utf-8")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def read(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Parse strict JSON; NaN, Infinity and -Infinity raise ValueError."""
+    return json.loads(Path(path).read_text(encoding="utf-8"),
+                      parse_constant=_reject_constant)

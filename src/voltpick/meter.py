@@ -45,8 +45,6 @@ BACKEND_TIME_POWER = "time-power"
 BACKEND_SYNTHETIC = "synthetic"
 BACKEND_KINDS = (BACKEND_RAPL, BACKEND_TIME_POWER, BACKEND_SYNTHETIC)
 
-DOMAINS = ("package", "core", "uncore", "dram", "whole-device")
-
 ENV_RAPL_ROOT = "VOLTPICK_RAPL_ROOT"
 ENV_BACKEND = "VOLTPICK_BACKEND"
 DEFAULT_POWERCAP_ROOT = "/sys/class/powercap"

@@ -28,6 +28,7 @@ from . import jsonio
 from .errors import (
     ApiKindMismatch,
     EmptyGroup,
+    InvalidConfig,
     MalformedProfile,
     SchemaVersionMismatch,
     UnknownApiKind,
@@ -310,7 +311,7 @@ def profile_from_dict(doc) -> EnergyProfile:
     try:
         scenario = Scenario(str(sc["scenario_id"]), int(sc["element_count"]),
                             int(sc["op_repetitions"]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InvalidConfig) as exc:
         raise MalformedProfile(f"bad scenario: {exc}") from exc
 
     if not isinstance(doc["entries"], list):

@@ -23,6 +23,7 @@ changes a choice.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,7 +38,12 @@ from .errors import (
     UnknownIdentifier,
     UnknownImplementation,
 )
-from .groups import ConstructGroup, builtin_groups, descriptor_index
+from .groups import (
+    ConstructGroup,
+    ImplementationDescriptor,
+    builtin_groups,
+    descriptor_index,
+)
 from .profile import EnergyProfile, host_fingerprint, prune_dominated
 
 RECOMMENDATION_SCHEMA_VERSION = 1
@@ -77,12 +83,11 @@ class RecommendationSet:
         return 1.0 - self.aggregate_recommended_joules / self.aggregate_current_joules
 
 
-def estimate_site(site: UsageSite, impl_id: str, profile: EnergyProfile) -> float:
-    """Sum of count(op) * mean_joules(impl, op) over the site's used ops.
+def _score(site: UsageSite, impl_id: str, profile: EnergyProfile) -> tuple[float, str | None]:
+    """Sum of count(op) * mean_joules(impl, op) over the site's measured used ops.
 
-    Raises Incomparable when any operation with a positive count has no
-    measured entry for the implementation (unsupported, discarded, or
-    simply absent): such an implementation cannot be ranked at this site.
+    Also returns the first used operation (positive count) with no measured
+    entry for the implementation, or None when every used op is measured.
     """
     kind = profile.api_kinds.get(impl_id)
     if kind is None:
@@ -92,23 +97,29 @@ def estimate_site(site: UsageSite, impl_id: str, profile: EnergyProfile) -> floa
             f"site {site.site_id} is {site.api_kind}, {impl_id} is {kind}"
         )
     total = 0.0
+    unmeasured = None
     for op, count in site.op_counts.items():
         if count <= 0:
             continue
         entry = profile.measured_entry(impl_id, op)
         if entry is None:
-            raise Incomparable(impl_id, op)
-        total += count * entry.mean_joules
-    return total
-
-
-def _partial_estimate(site: UsageSite, impl_id: str, profile: EnergyProfile) -> float:
-    """Best-effort score over the measured subset of the site's ops."""
-    total = 0.0
-    for op, count in site.op_counts.items():
-        entry = profile.measured_entry(impl_id, op)
-        if count > 0 and entry is not None:
+            if unmeasured is None:
+                unmeasured = op
+        else:
             total += count * entry.mean_joules
+    return total, unmeasured
+
+
+def estimate_site(site: UsageSite, impl_id: str, profile: EnergyProfile) -> float:
+    """Sum of count(op) * mean_joules(impl, op) over the site's used ops.
+
+    Raises Incomparable when any operation with a positive count has no
+    measured entry for the implementation (unsupported, discarded, or
+    simply absent): such an implementation cannot be ranked at this site.
+    """
+    total, unmeasured = _score(site, impl_id, profile)
+    if unmeasured is not None:
+        raise Incomparable(impl_id, unmeasured)
     return total
 
 
@@ -131,12 +142,36 @@ def _rationale(site: UsageSite, current: str, chosen: str,
     return lines
 
 
+@dataclass
+class _Pools:
+    """The descriptor index and the pruned pool per kind for one profile."""
+
+    profile: EnergyProfile
+    groups: Sequence[ConstructGroup] | None
+    descriptors: dict[str, ImplementationDescriptor]
+    by_kind: dict[str, list[str]] = field(default_factory=dict)
+
+    def pool(self, kind: str) -> list[str]:
+        if kind not in self.by_kind:
+            self.by_kind[kind] = prune_dominated(self.profile, kind)
+        return self.by_kind[kind]
+
+
+# Set while recommend_program runs, so that its per-site recommend_site calls
+# share one descriptor index and one pruned pool per kind.
+_PROGRAM_POOLS: ContextVar[_Pools | None] = ContextVar("_PROGRAM_POOLS", default=None)
+
+
 def recommend_site(site: UsageSite, profile: EnergyProfile,
                    respect_thread_safety: bool = True,
                    groups: Sequence[ConstructGroup] | None = None) -> Recommendation:
     """Pick the cheapest comparable candidate for one site."""
-    descriptors = descriptor_index(groups if groups is not None else builtin_groups())
-    pool = prune_dominated(profile, site.api_kind)
+    pools = _PROGRAM_POOLS.get()
+    if pools is None or pools.profile is not profile or pools.groups is not groups:
+        pools = _Pools(profile, groups,
+                       descriptor_index(groups if groups is not None else builtin_groups()))
+    pool = pools.pool(site.api_kind)
+    descriptors = pools.descriptors
 
     current = site.current_impl
     current_desc = descriptors.get(current)
@@ -146,17 +181,13 @@ def recommend_site(site: UsageSite, profile: EnergyProfile,
 
     estimates: dict[str, float] = {}
     for impl in pool:
-        try:
-            estimates[impl] = estimate_site(site, impl, profile)
-        except Incomparable:
-            continue
+        estimate, unmeasured = _score(site, impl, profile)
+        if unmeasured is None:
+            estimates[impl] = estimate
 
-    try:
-        current_estimate = estimate_site(site, current, profile)
-        partial = False
-    except Incomparable:
-        current_estimate = _partial_estimate(site, current, profile)
-        partial = True
+    # an incomparable current implementation is scored on its measured subset
+    current_estimate, unmeasured = _score(site, current, profile)
+    partial = unmeasured is not None
 
     if not estimates:
         if partial:
@@ -241,15 +272,20 @@ def recommend_program(report: UsageReport, profile: EnergyProfile,
             f"{analysis_host!r}; scores may not transfer"
         )
 
-    for site in report.sites:
-        try:
-            rec = recommend_site(site, profile, respect_thread_safety, groups)
-        except NoCandidates as exc:
-            out.diagnostics.append(str(exc))
-            continue
-        out.recommendations.append(rec)
-        out.aggregate_current_joules += rec.estimated_current_joules
-        out.aggregate_recommended_joules += rec.estimated_recommended_joules
+    # the pruned pool depends only on (profile, kind): build it once per kind
+    token = _PROGRAM_POOLS.set(_Pools(profile, groups, descriptor_index(groups)))
+    try:
+        for site in report.sites:
+            try:
+                rec = recommend_site(site, profile, respect_thread_safety, groups)
+            except NoCandidates as exc:
+                out.diagnostics.append(str(exc))
+                continue
+            out.recommendations.append(rec)
+            out.aggregate_current_joules += rec.estimated_current_joules
+            out.aggregate_recommended_joules += rec.estimated_recommended_joules
+    finally:
+        _PROGRAM_POOLS.reset(token)
     return out
 
 

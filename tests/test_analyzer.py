@@ -265,6 +265,22 @@ class TestReportPersistence:
         with pytest.raises(MalformedReport):
             report_from_dict(doc)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_count_rejected_on_load(self, tmp_path, constant):
+        path = tmp_path / "usage.json"
+        save_usage_report(self.make_report(), path)
+        text = path.read_text()
+        path.write_text(text.replace('"insert(value)": 1', f'"insert(value)": {constant}', 1))
+        assert constant in path.read_text()
+        with pytest.raises(MalformedReport, match=constant):
+            load_usage_report(path)
+
+    def test_non_finite_count_refused_on_save(self, tmp_path):
+        report = self.make_report()
+        report.sites[0].op_counts["insert(value)"] = float("nan")
+        with pytest.raises(ValueError):
+            save_usage_report(report, tmp_path / "usage.json")
+
     def test_negative_count_rejected(self):
         doc = report_to_dict(self.make_report())
         doc["sites"][0]["raw_counts"] = {"insert(end)": -1}

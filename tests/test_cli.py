@@ -66,6 +66,16 @@ class TestProfileBuildCli:
                         "--out", "p.json"], workdir, check=False)
         assert proc.returncode == 1
 
+    def test_zero_elements_is_user_error(self, workdir):
+        cmd = build_profile_cmd()
+        cmd[cmd.index("--elements") + 1] = "0"
+        proc = run_cli(cmd, workdir, check=False)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "voltpick: error: scenario 'small' has 0 elements; profiling needs at least 1"
+        ]
+        assert not (workdir / "profile.json").exists()
+
     def test_profile_show_renders_grid_and_dominance(self, workdir):
         run_cli(build_profile_cmd(), workdir)
         proc = run_cli(["profile", "show", "profile.json", "--dominance"], workdir)
@@ -100,6 +110,21 @@ class TestAnalyzeCli:
         proc = run_cli(["analyze", "--lang", "klingon", "x.mini"],
                        workdir, check=False)
         assert proc.returncode == 1
+
+
+class TestRecommendCli:
+    def test_nan_count_is_user_error(self, workdir):
+        run_cli(build_profile_cmd(), workdir)
+        run_cli(["analyze", "--lang", "minilang", "--out", "usage.json",
+                 "inventory.mini", "report.mini"], workdir)
+        usage = workdir / "usage.json"
+        usage.write_text(usage.read_text().replace('"insert(end)": 1', '"insert(end)": NaN', 1))
+        assert "NaN" in usage.read_text()
+        proc = run_cli(["recommend", "--profile", "profile.json", "--usage", "usage.json"],
+                       workdir, check=False)
+        assert proc.returncode == 1
+        assert "non-standard JSON constant NaN" in proc.stderr
+        assert "nan J" not in proc.stdout
 
 
 class TestPipelineCli:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import voltpick as vp
-from voltpick.errors import EmptyGroup, HarnessBusy, MeterFailure, NotMeasured
+from voltpick.errors import EmptyGroup, HarnessBusy, InvalidConfig, MeterFailure, NotMeasured
 from voltpick.harness import (
     SCENARIOS,
     STATUS_DISCARDED,
@@ -215,6 +215,12 @@ def test_scenario_presets_strictly_increase():
             < SCENARIOS["big"].element_count)
     for scenario in SCENARIOS.values():
         assert scenario.op_repetitions >= 1
+
+
+def test_scenario_needs_an_element():
+    with pytest.raises(InvalidConfig, match="profiling needs at least 1"):
+        vp.Scenario("small", 0, 8)
+    assert vp.Scenario("small", 1, 8).element_count == 1
 
 
 def test_run_plan_validation():

@@ -302,6 +302,23 @@ class TestPersistence:
         with pytest.raises(MalformedProfile):
             load_profile(path)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_score_rejected_on_load(self, tmp_path, constant):
+        path = tmp_path / "profile.json"
+        save_profile(self.build_small_profile(), path)
+        text = path.read_text()
+        start = text.index('"mean_joules": ') + len('"mean_joules": ')
+        end = text.index(",", start)
+        path.write_text(text[:start] + constant + text[end:])
+        with pytest.raises(MalformedProfile, match=constant):
+            load_profile(path)
+
+    def test_zero_element_scenario_rejected_on_load(self):
+        doc = profile_to_dict(self.build_small_profile())
+        doc["scenario"]["element_count"] = 0
+        with pytest.raises(MalformedProfile, match="0 elements"):
+            profile_from_dict(doc)
+
     def test_measured_entry_requires_positive_scores(self):
         doc = profile_to_dict(self.build_small_profile())
         doc["entries"][0]["mean_joules"] = 0
